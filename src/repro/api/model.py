@@ -9,10 +9,12 @@ entry points (:func:`repro.core.estimator.estimate_power`,
 default session, which means old call sites inherit the caching win
 without changes.
 
-Batch execution (:meth:`PowerModel.run_batch`) first groups scenarios
-that share a :func:`~repro.sim.fused_engine.stack_key` into fused
-stacks — one :class:`~repro.sim.fused_engine.FusedVectorizedEngine`
-slot loop per group (``strategy="auto"``) — and fans the resulting
+Batch execution (:meth:`PowerModel.run_batch`) first runs each distinct
+content hash of a batch once (duplicates share its record), then
+groups scenarios that share a :func:`~repro.sim.fused_engine.stack_key`
+into fused stacks — one :class:`~repro.sim.fused_engine.
+FusedVectorizedEngine` slot loop per group (``strategy="auto"``) —
+and fans the resulting
 execution units out over a :mod:`concurrent.futures` pool.  Every
 scenario carries its own seed and every run owns its fabric/ledger
 state, so results are deterministic, bit-identical across strategies,
@@ -644,6 +646,20 @@ class PowerModel:
         across serial, thread, process, and fused execution — and, by
         the degradation ladder's construction, across any sequence of
         recovered faults.
+
+        Duplicates within one batch run once.  Scenarios that are
+        neither served by ``store`` nor replayed from ``journal`` are
+        grouped by :meth:`~repro.api.Scenario.content_hash` before
+        units are planned; each distinct scenario is simulated once,
+        and every duplicate slot receives the same frozen record
+        object, ``elapsed_s`` included — just as repeated store hits
+        do.  The store and journal see one write per distinct
+        scenario.  Under ``on_failure="record"`` a failed scenario
+        leaves every one of its slots ``None`` and adds one
+        :class:`~repro.resilience.FailureRecord` per slot to
+        ``report``, so each hole stays explained.  Because the
+        execution units are the distinct scenarios, fault-plan unit
+        indices count distinct scenarios too.
         """
         scenario_list = list(scenarios)
         if workers is not None and workers < 1:
@@ -694,7 +710,18 @@ class PowerModel:
             else:
                 pending.append((index, scenario))
         if pending:
-            units = self._plan_units(pending, strategy)
+            # In-batch dedup: each distinct content hash runs once and
+            # its record is fanned out to the duplicate slots.
+            distinct: list[tuple[int, Scenario]] = []
+            copies: dict[int, list[int]] = {}
+            first_of: dict[str, int] = {}
+            for index, scenario in pending:
+                first = first_of.setdefault(scenario.content_hash(), index)
+                if first == index:
+                    distinct.append((index, scenario))
+                else:
+                    copies.setdefault(first, []).append(index)
+            units = self._plan_units(distinct, strategy)
             eff_workers = workers
             if (
                 len(units) == 1
@@ -711,7 +738,7 @@ class PowerModel:
                 report=report,
             )
             supervisor.run_units(units, results, store=store,
-                                 journal=journal)
+                                 journal=journal, copies=copies)
         return results
 
 

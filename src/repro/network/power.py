@@ -622,7 +622,9 @@ class NetworkPowerModel:
         topology size.  Exports are bit-identical to the monolithic
         path by construction.  Note that :class:`FaultPlan` unit
         indices are per ``run_batch`` call, so under sharding a fault
-        at unit 0 targets the first execution unit of *every* shard.
+        at unit 0 targets the first execution unit of *every* shard —
+        and, since a unit holds distinct scenarios, every router of
+        that shard sharing its scenario's content hash.
 
         ``detail`` controls what the runtime-only
         :attr:`NetworkRecord.detail` payload retains: ``"full"`` (the

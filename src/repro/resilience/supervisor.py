@@ -50,7 +50,7 @@ from concurrent.futures import (
 )
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Sequence
+from typing import TYPE_CHECKING, Any, Mapping, Sequence
 
 from repro.resilience.faults import FaultPlan, apply_fault
 from repro.resilience.policy import RetryPolicy
@@ -96,7 +96,15 @@ class _UnitTask:
     unit_id: int
     fused: bool
     items: list[tuple[int, "Scenario"]]
+    #: Batch-wide map from a distinct scenario's result index to the
+    #: indices of its in-batch duplicates (see :meth:`slots`).
+    copies: Mapping[int, Sequence[int]]
     attempt: int = 1
+
+    def slots(self, index: int) -> list[int]:
+        """Every result slot an item fills: its own plus its
+        duplicates'."""
+        return [index, *self.copies.get(index, ())]
 
     def key(self) -> str:
         """Deterministic jitter/backoff key (first scenario's hash)."""
@@ -164,16 +172,23 @@ class Supervisor:
         results: list["RunRecord | None"],
         store: "RunRecordStore | None" = None,
         journal: "CampaignJournal | None" = None,
+        copies: Mapping[int, Sequence[int]] | None = None,
     ) -> None:
         """Execute every unit, filling ``results`` in place.
+
+        ``copies`` maps a unit item's result index to the indices of
+        its in-batch duplicates: each completed record also fills
+        those slots (stored and journaled once), and each terminal
+        failure is reported once per slot.
 
         On ``policy.on_failure == "record"`` permanently failed units
         leave their result slots ``None`` and append
         :class:`FailureRecord` entries to the report (and journal);
         otherwise the final error propagates after pool cleanup.
         """
+        copies = copies if copies is not None else {}
         tasks = [
-            _UnitTask(i, fused, list(items))
+            _UnitTask(i, fused, list(items), copies)
             for i, (fused, items) in enumerate(units)
         ]
         if not tasks:
@@ -198,7 +213,8 @@ class Supervisor:
         journal: "CampaignJournal | None",
     ) -> None:
         for (index, _), record in zip(task.items, records):
-            results[index] = record
+            for slot in task.slots(index):
+                results[slot] = record
             if store is not None:
                 store.put(record)
             if journal is not None:
@@ -214,11 +230,13 @@ class Supervisor:
         _, _, stage = task.stage()
         if self.policy.on_failure != "record":
             raise exc
-        for _, scenario in task.items:
+        for index, scenario in task.items:
             failure = FailureRecord.from_exception(
                 scenario, exc, task.attempt, stage
             )
-            self.report.failures.append(failure)
+            self.report.failures.extend(
+                [failure] * len(task.slots(index))
+            )
             if journal is not None:
                 journal.record_failure(failure)
 

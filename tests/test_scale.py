@@ -403,14 +403,31 @@ class TestResilienceStreaming:
     def test_fault_units_restart_per_shard_batch(self):
         """FaultPlan unit indices address execution units *within one
         run_batch call*; under sharding every shard re-plans from unit
-        0, so a unit-0 fault fires once per shard."""
+        0, so a unit-0 fault fires once per shard.  Units are distinct
+        scenarios, so each firing fails every router of that shard
+        sharing unit 0's content hash — one failure per hole."""
+        spec = get_network("fat_tree_k8")
+        keys = [
+            s.content_hash()
+            for _, s in NetworkPowerModel(PowerModel()).scenarios(spec)
+        ]
+        expected = []  # (unit-0 key, routers sharing it) per shard
+        for start, stop in shard_bounds(len(keys), 4):
+            shard = keys[start:stop]
+            expected.append((shard[0], shard.count(shard[0])))
+        assert len(expected) == 4
         record = self.run_k8(
             shards=4,
             detail="none",
             retry=RECORD_HOLES,
             faults=FaultPlan(faults=(Fault("transient", 0),)),
         )
-        assert len(record.failures) == 4
+        assert len(record.failures) == sum(n for _, n in expected)
+        offset = 0
+        for key, count in expected:
+            shard_failures = record.failures[offset:offset + count]
+            assert {f.key for f in shard_failures} == {key}
+            offset += count
 
     def test_transient_fault_retries_to_byte_identical(self):
         clean = self.run_k8(shards=4, detail="none")
