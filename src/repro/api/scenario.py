@@ -23,6 +23,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import numbers
 from dataclasses import dataclass, field, fields, replace
 from typing import Any, Iterable, Mapping, Sequence
 
@@ -65,6 +66,72 @@ TRAFFIC_KINDS = (
 )
 
 
+#: Scenario fields checked by type in ``__post_init__``, never coerced.
+#: Integer fields take any ``numbers.Integral`` and real-valued ones any
+#: ``numbers.Real`` (so numpy scalars from campaign grids stay valid),
+#: ``bool`` excepted.
+_STR_FIELDS = (
+    "architecture",
+    "backend",
+    "engine",
+    "queueing",
+    "traffic",
+    "buffer_memory",
+    "buffer_charge_granularity",
+    "name",
+)
+_INT_FIELDS = (
+    "ports",
+    "islip_iterations",
+    "rng_stream",
+    "bus_width",
+    "cell_words",
+    "arrival_slots",
+    "warmup_slots",
+)
+_OPTIONAL_INT_FIELDS = ("buffer_bits_per_switch", "ingress_queue_cells", "seed")
+
+
+def _is_int(value: Any) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _is_real(value: Any) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def _check_types(scenario: "Scenario") -> None:
+    """Reject wrongly typed fields with :class:`ConfigurationError`."""
+
+    def bad(name: str, expected: str) -> ConfigurationError:
+        value = getattr(scenario, name)
+        return ConfigurationError(
+            f"scenario field {name!r} must be {expected}, got "
+            f"{type(value).__name__} {value!r}"
+        )
+
+    for name in _STR_FIELDS:
+        if not isinstance(getattr(scenario, name), str):
+            raise bad(name, "a string")
+    for name in _INT_FIELDS:
+        if not _is_int(getattr(scenario, name)):
+            raise bad(name, "an integer")
+    for name in _OPTIONAL_INT_FIELDS:
+        value = getattr(scenario, name)
+        if value is not None and not _is_int(value):
+            raise bad(name, "an integer or null")
+    if not _is_real(scenario.flip_fraction):
+        raise bad("flip_fraction", "a number")
+    load = scenario.load
+    if isinstance(load, (list, tuple)):
+        if not all(_is_real(value) for value in load):
+            raise bad("load", "a number or a list of numbers")
+    elif not _is_real(load):
+        raise bad("load", "a number or a list of numbers")
+    if not isinstance(scenario.drain, bool):
+        raise bad("drain", "true or false")
+
+
 def _freeze_value(value: Any) -> Any:
     """Recursively convert lists (e.g. trace entry rows) to tuples."""
     if isinstance(value, (list, tuple)):
@@ -85,12 +152,23 @@ def _freeze_params(params: Any) -> tuple[tuple[str, Any], ...]:
         return ()
     if isinstance(params, Mapping):
         items = params.items()
+    elif isinstance(params, (str, bytes)) or not isinstance(params, Iterable):
+        raise _bad_params(params)
     else:
         items = tuple(params)
-    frozen = []
-    for key, value in sorted(items):
-        frozen.append((str(key), _freeze_value(value)))
-    return tuple(frozen)
+    try:
+        return tuple(
+            (str(key), _freeze_value(value)) for key, value in sorted(items)
+        )
+    except (TypeError, ValueError):
+        raise _bad_params(params) from None
+
+
+def _bad_params(params: Any) -> ConfigurationError:
+    return ConfigurationError(
+        "traffic_params must be a mapping or a list of [key, value] "
+        f"pairs, got {params!r}"
+    )
 
 
 @dataclass(frozen=True)
@@ -196,6 +274,7 @@ class Scenario:
     # ------------------------------------------------------------------
 
     def __post_init__(self) -> None:
+        _check_types(self)
         object.__setattr__(
             self, "architecture", canonical_architecture(self.architecture)
         )
@@ -233,9 +312,15 @@ class Scenario:
             object.__setattr__(
                 self, "load", tuple(float(value) for value in self.load)
             )
-        # Shared scalar/vector validation (length + [0, 1] range) —
-        # the same rules the traffic layer enforces at build time.
-        per_port_loads(self.load, self.ports)
+        # Shared vector validation (length + [0, 1] range) — the same
+        # rules the traffic layer enforces at build time.  A scalar is
+        # range-checked here, without expanding it to ``ports`` entries.
+        if isinstance(self.load, tuple):
+            per_port_loads(self.load, self.ports)
+        elif not 0.0 <= self.load <= 1.0:
+            raise ConfigurationError(
+                f"load must be in [0, 1], got {self.load}"
+            )
         if not 0.0 <= self.flip_fraction <= 1.0:
             raise ConfigurationError("flip_fraction must be in [0, 1]")
         if self.traffic not in TRAFFIC_KINDS:
@@ -415,10 +500,24 @@ class Scenario:
                 f"unknown scenario fields: {sorted(unknown)}; "
                 f"valid fields: {sorted(known)}"
             )
+        missing = [
+            f.name
+            for f in fields(cls)
+            if f.default is dataclasses.MISSING and f.name not in data
+        ]
+        if missing:
+            raise ConfigurationError(
+                f"missing scenario fields: {missing}"
+            )
         kwargs = dict(data)
         tech = kwargs.get("tech")
         if isinstance(tech, Mapping):
-            kwargs["tech"] = Technology(**tech)
+            try:
+                kwargs["tech"] = Technology(**tech)
+            except TypeError as exc:
+                raise ConfigurationError(
+                    f"bad technology fields in scenario: {exc}"
+                ) from None
         return cls(**kwargs)
 
     def to_json(self, **dumps_kwargs: Any) -> str:
@@ -500,9 +599,20 @@ def load_scenarios(source: str | Iterable[Mapping[str, Any]]) -> list[Scenario]:
             raise ConfigurationError(
                 'scenario file object must have a "scenarios" array'
             )
+    if isinstance(data, (str, bytes)) or not isinstance(data, Iterable):
+        raise ConfigurationError(
+            "scenario list must be an array of scenario objects, got "
+            f"{type(data).__name__}"
+        )
     items = list(data)
     if not items:
         raise ConfigurationError("scenario list is empty")
+    for item in items:
+        if not isinstance(item, Mapping):
+            raise ConfigurationError(
+                "each scenario must be an object, got "
+                f"{type(item).__name__} {item!r}"
+            )
     return [Scenario.from_dict(item) for item in items]
 
 

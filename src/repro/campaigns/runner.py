@@ -304,7 +304,6 @@ def _run_network(
     executor: str,
     store: RunRecordStore | None,
     figures: DerivedRecordStore | None,
-    strategy: str = "auto",
     retry: "RetryPolicy | None" = None,
     journal: "CampaignJournal | None" = None,
     faults: FaultPlan | None = None,
@@ -326,7 +325,6 @@ def _run_network(
             executor=executor,
             store=store,
             figures=figures,
-            strategy=strategy,
             retry=retry,
             journal=journal,
             faults=faults,
@@ -392,7 +390,6 @@ def _run_grid(
     workers: int | None,
     executor: str,
     store: RunRecordStore | None,
-    strategy: str = "auto",
     retry: "RetryPolicy | None" = None,
     journal: "CampaignJournal | None" = None,
     faults: FaultPlan | None = None,
@@ -405,7 +402,6 @@ def _run_grid(
         workers=workers,
         executor=executor,
         store=store,
-        strategy=strategy,
         retry=retry,
         journal=journal,
         faults=faults,
@@ -430,7 +426,6 @@ def _run_surrogate_eval(
     workers: int | None,
     executor: str,
     store: RunRecordStore | None,
-    strategy: str = "auto",
     retry: "RetryPolicy | None" = None,
     journal: "CampaignJournal | None" = None,
     faults: FaultPlan | None = None,
@@ -457,7 +452,6 @@ def _run_surrogate_eval(
         workers=workers,
         executor=executor,
         store=store,
-        strategy=strategy,
         retry=retry,
         journal=journal,
         faults=faults,
@@ -590,7 +584,6 @@ def run_campaign(
     executor: str = "thread",
     store: RunRecordStore | None = None,
     figures: DerivedRecordStore | None = None,
-    strategy: str = "auto",
     retry: "RetryPolicy | None" = None,
     journal: "CampaignJournal | None" = None,
     faults: FaultPlan | None = None,
@@ -625,14 +618,6 @@ def run_campaign(
         Network campaigns additionally cache every per-scale
         :class:`~repro.network.power.NetworkRecord` keyed by its spec's
         topology+matrix content hash.
-    strategy:
-        Scenario execution strategy for grid and network campaigns
-        (see :meth:`~repro.api.PowerModel.run_batch`): ``"auto"`` (the
-        default) fuses same-shaped scenario groups into one
-        multi-scenario slot loop, ``"vectorized"`` forces per-scenario
-        runs, ``"fused"`` stacks every stackable scenario.  Results
-        and cache behaviour are bit-identical either way; table kinds
-        ignore it and control campaigns inherit the batch default.
     retry / journal / faults / report:
         The supervised-execution surface of
         :meth:`~repro.api.PowerModel.run_batch`: retry policy with
@@ -659,7 +644,7 @@ def run_campaign(
         record = _run_table2(campaign)
     elif campaign.kind == "network":
         record = _run_network(
-            campaign, session, workers, executor, store, figures, strategy,
+            campaign, session, workers, executor, store, figures,
             retry=retry, journal=journal, faults=faults, report=report,
         )
     elif campaign.kind == "control":
@@ -671,14 +656,14 @@ def run_campaign(
         if session is None:
             session = default_session()
         record = _run_surrogate_eval(
-            campaign, session, workers, executor, store, strategy,
+            campaign, session, workers, executor, store,
             retry=retry, journal=journal, faults=faults, report=report,
         )
     else:
         if session is None:
             session = default_session()
         record = _run_grid(
-            campaign, session, workers, executor, store, strategy,
+            campaign, session, workers, executor, store,
             retry=retry, journal=journal, faults=faults, report=report,
         )
     if figures is not None and not record.failures:

@@ -222,16 +222,6 @@ def build_parser() -> argparse.ArgumentParser:
         "results appended",
     )
     batch.add_argument(
-        "--strategy",
-        choices=("auto", "fused", "vectorized"),
-        default="auto",
-        help="scenario execution strategy: 'auto' fuses groups of "
-        "scenarios that share fabric/ports/queueing/stream into one "
-        "multi-scenario slot loop, 'vectorized' forces per-scenario "
-        "runs, 'fused' stacks even singletons.  Results are "
-        "bit-identical either way",
-    )
-    batch.add_argument(
         "--rng-stream",
         type=int,
         choices=(1, 2),
@@ -291,14 +281,6 @@ def build_parser() -> argparse.ArgumentParser:
             help="JSONL derived-figure cache keyed by campaign content "
             "hash; a warm figure cache serves the whole record without "
             "running (or even constructing) a session",
-        )
-        p.add_argument(
-            "--strategy",
-            choices=("auto", "fused", "vectorized"),
-            default="auto",
-            help="scenario execution strategy for grid/network "
-            "campaigns (bit-identical results; 'auto' fuses "
-            "same-shaped scenario groups into one slot loop)",
         )
         _add_resilience(p)
 
@@ -390,14 +372,6 @@ def build_parser() -> argparse.ArgumentParser:
             help="JSONL derived-figure cache keyed by the spec's "
             "topology+matrix content hash; a warm figure cache serves "
             "the whole NetworkRecord without a session",
-        )
-        p.add_argument(
-            "--strategy",
-            choices=("auto", "fused", "vectorized"),
-            default="auto",
-            help="execution strategy for the per-router scenario batch "
-            "(bit-identical results; 'auto' fuses same-shaped router "
-            "groups into one slot loop)",
         )
         p.add_argument(
             "--shards",
@@ -797,7 +771,6 @@ def cmd_batch(args) -> int:
         workers=args.workers,
         executor=args.executor,
         store=store,
-        strategy=args.strategy,
         **resilience,
     )
     # With --retries, exhausted units are recorded holes (None): the
@@ -853,7 +826,6 @@ def _campaign_store(args, campaign):
                 ("--cache", args.cache),
                 ("--workers", args.workers > 1),
                 ("--executor", args.executor != "thread"),
-                ("--strategy", args.strategy != "auto"),
                 ("--retries", args.retries is not None),
                 ("--timeout", args.timeout is not None),
                 ("--journal", args.journal),
@@ -1049,7 +1021,6 @@ def cmd_campaign(args) -> int:
             executor=args.executor,
             store=store,
             figures=figures,
-            strategy=args.strategy,
             **resilience,
         )
         _campaign_cache_stats(args, store)
@@ -1081,7 +1052,6 @@ def cmd_campaign(args) -> int:
         executor=args.executor,
         store=store,
         figures=figures,
-        strategy=args.strategy,
         **resilience,
     )
     _campaign_cache_stats(args, store)
@@ -1222,7 +1192,6 @@ def cmd_network(args) -> int:
         executor=args.executor,
         store=store,
         figures=figures,
-        strategy=args.strategy,
         shards=args.shards,
         detail=args.detail,
         **resilience,

@@ -545,7 +545,6 @@ class NetworkPowerModel:
         executor: str = "thread",
         store: "RunRecordStore | None" = None,
         figures: "DerivedRecordStore | None" = None,
-        strategy: str = "auto",
         retry: RetryPolicy | None = None,
         journal: "CampaignJournal | None" = None,
         faults: FaultPlan | None = None,
@@ -558,15 +557,12 @@ class NetworkPowerModel:
         Parameters mirror :meth:`repro.api.PowerModel.run_batch`
         (``retry``/``journal``/``faults``/``report`` included);
         ``figures`` short-circuits the whole run when the spec's
-        content hash is already in the derived-figure store.  With the
-        default ``strategy="auto"`` the per-router scenarios of a
-        uniform topology (one fabric type, one port count) fuse into a
-        single multi-scenario slot loop.  A record with failures
-        (explicit holes) is never figure-cached — a later clean run
-        must not be served the holes.  ``shards`` / ``detail`` stream
-        the aggregation (see :meth:`run_routed`); neither affects the
-        exported record, so figure-store entries are shared across
-        execution strategies.
+        content hash is already in the derived-figure store.  A record
+        with failures (explicit holes) is never figure-cached — a later
+        clean run must not be served the holes.  ``shards`` /
+        ``detail`` stream the aggregation (see :meth:`run_routed`);
+        neither affects the exported record, so figure-store entries
+        are shared whatever their values.
         """
         if figures is not None:
             cached = figures.get(spec.content_hash(), "network")
@@ -579,7 +575,6 @@ class NetworkPowerModel:
             workers=workers,
             executor=executor,
             store=store,
-            strategy=strategy,
             retry=retry,
             journal=journal,
             faults=faults,
@@ -598,7 +593,6 @@ class NetworkPowerModel:
         workers: int | None = None,
         executor: str = "thread",
         store: "RunRecordStore | None" = None,
-        strategy: str = "auto",
         retry: RetryPolicy | None = None,
         journal: "CampaignJournal | None" = None,
         faults: FaultPlan | None = None,
@@ -623,8 +617,8 @@ class NetworkPowerModel:
         path by construction.  Note that :class:`FaultPlan` unit
         indices are per ``run_batch`` call, so under sharding a fault
         at unit 0 targets the first execution unit of *every* shard —
-        and, since a unit holds distinct scenarios, every router of
-        that shard sharing its scenario's content hash.
+        and, since a unit is one distinct scenario, every router of
+        that shard sharing its content hash.
 
         ``detail`` controls what the runtime-only
         :attr:`NetworkRecord.detail` payload retains: ``"full"`` (the
@@ -645,7 +639,6 @@ class NetworkPowerModel:
                 workers=workers,
                 executor=executor,
                 store=store,
-                strategy=strategy,
                 retry=retry,
                 journal=journal,
                 faults=faults,
@@ -664,7 +657,7 @@ class _NetworkFold:
     :class:`RunRecord` results through this fold in topology node
     order, so every float accumulation (fabric/port totals, node rows)
     happens in exactly the same order — byte-identical exports are a
-    property of the fold, not of the execution strategy.  Per-router
+    property of the fold, not of the sharding.  Per-router
     records are retained only under ``detail="full"``; otherwise each
     record is dropped as soon as its row is folded, which is what keeps
     a streamed 1000-router run's peak memory bounded.

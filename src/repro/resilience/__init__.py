@@ -11,7 +11,7 @@ alive and its results bit-identical:
   holes).
 * :class:`~repro.resilience.supervisor.Supervisor` — wraps every
   execution unit of :meth:`repro.api.PowerModel.run_batch`: retries
-  transient errors, degrades fused → vectorized → reference engine and
+  transient errors, degrades vectorized → reference engine and
   process → thread executor on repeated failure, respawns a broken
   process pool and re-submits only unfinished units, and cancels
   cleanly on Ctrl-C.

@@ -63,11 +63,10 @@ class Fault:
     kind:
         One of :data:`FAULT_KINDS`.
     unit:
-        The execution-unit index within the batch plan (first-occurrence
-        order, the order :meth:`repro.api.PowerModel.run_batch` plans).
-        Units are planned over the batch's *distinct* pending
+        The execution-unit index within the batch, in first-occurrence
+        order.  Each unit is one of the batch's *distinct* pending
         scenarios (in-batch duplicates share one run), so a fault on a
-        unit fails every duplicate slot of the scenarios it holds.
+        unit fails every duplicate slot of its scenario.
     attempts:
         1-based attempt numbers the fault fires on.  ``(1,)`` means a
         one-shot failure that the first retry recovers from; ``(1, 2,

@@ -5,10 +5,9 @@ execution units under a :class:`Supervisor` instead of a bare
 ``future.result()``:
 
 * **Retries with degradation.**  A failed attempt walks a ladder that
-  can only get more conservative: the planned mode first (a fused
-  stack, say), then the per-scenario vectorized path, then the
-  object-based reference engine — every rung bit-identical to the
-  last, so a recovered unit's record is indistinguishable from an
+  can only get more conservative: the scenario's planned engine first,
+  then the object-based reference engine — both rungs bit-identical,
+  so a recovered unit's record is indistinguishable from an
   untroubled one.  Permanent errors (:class:`~repro.errors.ReproError`)
   skip the ladder entirely: bad configuration is not a flaky worker.
 * **Pool recovery.**  A worker killed mid-unit (OOM, segfault, the
@@ -72,10 +71,9 @@ def _worker_run_unit(
     faults: FaultPlan | None,
     unit_id: int,
     attempt: int,
-    fused: bool,
-    scenarios: tuple["Scenario", ...],
+    scenario: "Scenario",
     engine: str | None,
-) -> list["RunRecord"]:
+) -> "RunRecord":
     """Top-level process-pool unit runner (pickles cleanly).
 
     Installs nothing globally: the fault plan rides along as an
@@ -84,49 +82,41 @@ def _worker_run_unit(
     from repro.api.model import default_session
 
     apply_fault(faults, unit_id, attempt, in_worker=True)
-    return default_session()._run_unit(
-        fused, list(scenarios), engine=engine
-    )
+    return default_session().run(scenario, engine=engine)
 
 
 @dataclass
 class _UnitTask:
-    """One execution unit moving through the retry ladder."""
+    """One execution unit (a distinct scenario) moving through the
+    retry ladder."""
 
     unit_id: int
-    fused: bool
-    items: list[tuple[int, "Scenario"]]
-    #: Batch-wide map from a distinct scenario's result index to the
-    #: indices of its in-batch duplicates (see :meth:`slots`).
-    copies: Mapping[int, Sequence[int]]
+    index: int
+    scenario: "Scenario"
+    #: Result indices of the scenario's in-batch duplicates.
+    copies: Sequence[int] = ()
     attempt: int = 1
 
-    def slots(self, index: int) -> list[int]:
-        """Every result slot an item fills: its own plus its
+    def slots(self) -> list[int]:
+        """Every result slot the unit fills: its own plus its
         duplicates'."""
-        return [index, *self.copies.get(index, ())]
+        return [self.index, *self.copies]
 
     def key(self) -> str:
-        """Deterministic jitter/backoff key (first scenario's hash)."""
-        return self.items[0][1].content_hash()
+        """Deterministic jitter/backoff key (the scenario's hash)."""
+        return self.scenario.content_hash()
 
-    def stage(self) -> tuple[bool, str | None, str]:
-        """Execution mode for the current attempt: ``(fused,
-        engine_override, stage_name)``.
+    def stage(self) -> tuple[str | None, str]:
+        """Execution mode for the current attempt: ``(engine_override,
+        stage_name)``.
 
-        The ladder only steps down: a fused unit retries unfused, then
-        on the reference engine; an unfused unit goes straight to the
-        reference engine on its second retry.  Estimate scenarios
-        ignore the engine override (there is nothing to degrade).
+        Attempt 1 runs the scenario's planned engine; every retry runs
+        the reference engine.  Estimate scenarios ignore the engine
+        override (there is nothing to degrade).
         """
-        rung = self.attempt - 1
-        if not self.fused:
-            rung += 1
-        if rung == 0:
-            return True, None, "planned"
-        if rung == 1:
-            return False, None, ("vectorized" if self.fused else "planned")
-        return False, "reference", "reference"
+        if self.attempt == 1:
+            return None, "planned"
+        return "reference", "reference"
 
 
 class Supervisor:
@@ -168,18 +158,19 @@ class Supervisor:
 
     def run_units(
         self,
-        units: Sequence[tuple[bool, list[tuple[int, "Scenario"]]]],
+        units: Sequence[tuple[int, "Scenario"]],
         results: list["RunRecord | None"],
         store: "RunRecordStore | None" = None,
         journal: "CampaignJournal | None" = None,
         copies: Mapping[int, Sequence[int]] | None = None,
     ) -> None:
-        """Execute every unit, filling ``results`` in place.
+        """Execute every ``(result index, scenario)`` unit, filling
+        ``results`` in place.
 
-        ``copies`` maps a unit item's result index to the indices of
-        its in-batch duplicates: each completed record also fills
-        those slots (stored and journaled once), and each terminal
-        failure is reported once per slot.
+        ``copies`` maps a unit's result index to the indices of its
+        in-batch duplicates: each completed record also fills those
+        slots (stored and journaled once), and each terminal failure
+        is reported once per slot.
 
         On ``policy.on_failure == "record"`` permanently failed units
         leave their result slots ``None`` and append
@@ -188,8 +179,8 @@ class Supervisor:
         """
         copies = copies if copies is not None else {}
         tasks = [
-            _UnitTask(i, fused, list(items), copies)
-            for i, (fused, items) in enumerate(units)
+            _UnitTask(i, index, scenario, copies.get(index, ()))
+            for i, (index, scenario) in enumerate(units)
         ]
         if not tasks:
             return
@@ -207,18 +198,17 @@ class Supervisor:
     def _complete(
         self,
         task: _UnitTask,
-        records: list["RunRecord"],
+        record: "RunRecord",
         results: list["RunRecord | None"],
         store: "RunRecordStore | None",
         journal: "CampaignJournal | None",
     ) -> None:
-        for (index, _), record in zip(task.items, records):
-            for slot in task.slots(index):
-                results[slot] = record
-            if store is not None:
-                store.put(record)
-            if journal is not None:
-                journal.record_done(record, attempts=task.attempt)
+        for slot in task.slots():
+            results[slot] = record
+        if store is not None:
+            store.put(record)
+        if journal is not None:
+            journal.record_done(record, attempts=task.attempt)
 
     def _fail(
         self,
@@ -227,18 +217,15 @@ class Supervisor:
         journal: "CampaignJournal | None",
     ) -> None:
         """Terminal failure: record holes or re-raise per policy."""
-        _, _, stage = task.stage()
+        _, stage = task.stage()
         if self.policy.on_failure != "record":
             raise exc
-        for index, scenario in task.items:
-            failure = FailureRecord.from_exception(
-                scenario, exc, task.attempt, stage
-            )
-            self.report.failures.extend(
-                [failure] * len(task.slots(index))
-            )
-            if journal is not None:
-                journal.record_failure(failure)
+        failure = FailureRecord.from_exception(
+            task.scenario, exc, task.attempt, stage
+        )
+        self.report.failures.extend([failure] * len(task.slots()))
+        if journal is not None:
+            journal.record_failure(failure)
 
     def _advance(self, task: _UnitTask) -> float:
         """Move a retryable task to its next attempt; returns the
@@ -257,12 +244,10 @@ class Supervisor:
             and task.attempt < self.policy.max_attempts
         )
 
-    def _run_attempt_inline(self, task: _UnitTask) -> list["RunRecord"]:
-        fused, engine, _ = task.stage()
+    def _run_attempt_inline(self, task: _UnitTask) -> "RunRecord":
+        engine, _ = task.stage()
         apply_fault(self.faults, task.unit_id, task.attempt, in_worker=False)
-        return self.session._run_unit(
-            fused, [s for _, s in task.items], engine=engine
-        )
+        return self.session.run(task.scenario, engine=engine)
 
     # ------------------------------------------------------------------
     # Serial path (no pool, no timeout enforcement needed)
@@ -278,7 +263,7 @@ class Supervisor:
         for task in tasks:
             while True:
                 try:
-                    records = self._run_attempt_inline(task)
+                    record = self._run_attempt_inline(task)
                 except (KeyboardInterrupt, SystemExit):
                     raise
                 except BaseException as exc:
@@ -288,7 +273,7 @@ class Supervisor:
                     self._fail(task, exc, journal)
                     break
                 else:
-                    self._complete(task, records, results, store, journal)
+                    self._complete(task, record, results, store, journal)
                     break
 
     # ------------------------------------------------------------------
@@ -329,16 +314,14 @@ class Supervisor:
         futures: dict[Future, _UnitTask],
         deadlines: dict[Future, float],
     ) -> None:
-        fused, engine, _ = task.stage()
-        scenarios = [s for _, s in task.items]
+        engine, _ = task.stage()
         if kind == "process":
             future = pool.submit(
                 _worker_run_unit,
                 self.faults,
                 task.unit_id,
                 task.attempt,
-                fused,
-                tuple(scenarios),
+                task.scenario,
                 engine,
             )
         else:
@@ -443,7 +426,7 @@ class Supervisor:
                     if task is None:  # abandoned (timed out earlier)
                         continue
                     try:
-                        records = future.result()
+                        record = future.result()
                     except BrokenProcessPool:
                         pending.insert(0, task)
                         handle_break()
@@ -461,7 +444,7 @@ class Supervisor:
                             self._fail(task, exc, journal)
                     else:
                         self._complete(
-                            task, records, results, store, journal
+                            task, record, results, store, journal
                         )
                 if pool_broke or done:
                     continue

@@ -14,22 +14,15 @@ the end), *measurement* (arrivals continue; power and throughput come
 from this window), and *drain* (arrivals stop; the fabric and queues
 flush so no energy is silently lost).
 
-Three tiers share these semantics and one seeded RNG stream per
+Two engines share these semantics and one seeded RNG stream per
 scenario: this module's object-based :class:`SimulationEngine` (the
-reference oracle), the struct-of-arrays
+reference oracle) and the struct-of-arrays
 :class:`~repro.sim.vector_engine.VectorizedEngine` (the default,
-several times faster), and the multi-scenario
-:class:`~repro.sim.fused_engine.FusedVectorizedEngine`, which runs a
-whole *stack* of same-shaped scenarios through one slot loop.
-:func:`create_engine` selects between the two single-scenario tiers,
-resolving fabric support through :mod:`repro.fabrics.registry`; the
-fused tier is an execution strategy of
-:meth:`repro.api.PowerModel.run_batch` (it needs several scenarios),
-gated by each registry entry's ``fused`` capability flag.  The
-exact-equality cross-check matrices in
-``tests/test_engine_equivalence.py`` and ``tests/test_fused_engine.py``
-keep all three bit-identical.  The slot data flow is drawn in
-``docs/ARCHITECTURE.md``.
+several times faster).  :func:`create_engine` selects between them,
+resolving fabric support through :mod:`repro.fabrics.registry`.  The
+exact-equality cross-check matrix in
+``tests/test_engine_equivalence.py`` keeps the two bit-identical.  The
+slot data flow is drawn in ``docs/ARCHITECTURE.md``.
 """
 
 from __future__ import annotations
@@ -63,13 +56,6 @@ def create_engine(
     an unregistered custom arbiter/router subclass) raises
     :class:`~repro.errors.ConfigurationError` naming the registered
     cores and the selected engine — pass ``engine="reference"`` there.
-
-    The third tier, the fused multi-scenario engine, is not built here:
-    it needs a *group* of routers, so it is selected per batch via
-    ``run_batch(strategy=...)`` and only for fabrics whose registry
-    entry sets the ``fused`` capability flag (see each entry's
-    ``supported_engines``).  Asking this factory for ``engine="fused"``
-    raises :class:`~repro.errors.ConfigurationError` saying so.
     """
     if engine == "reference":
         return SimulationEngine(router, seed=seed)
@@ -77,16 +63,8 @@ def create_engine(
         from repro.sim.vector_engine import VectorizedEngine
 
         return VectorizedEngine(router, seed=seed)
-    if engine == "fused":
-        raise ConfigurationError(
-            "engine 'fused' runs a group of scenarios, not one router; "
-            "use PowerModel.run_batch(strategy='fused'|'auto') with "
-            "scenarios whose fabric registry entry has fused=True "
-            "(see repro.fabrics.registry supported_engines)"
-        )
     raise ConfigurationError(
-        f"unknown engine {engine!r}; expected one of {ENGINES} "
-        "(or 'fused' via run_batch for multi-scenario stacks)"
+        f"unknown engine {engine!r}; expected one of {ENGINES}"
     )
 
 

@@ -9,13 +9,8 @@ accounting run on plain int arrays/lists, and the fabric is driven
 through a :class:`~repro.fabrics.vectorized.VectorFabricCore` that
 batches each slot's wire-flip counting into one vectorized popcount.
 
-This is the middle tier of the three-engine stack: the reference
-engine (:mod:`repro.sim.engine`) is the bit-exact oracle, this engine
-is the fast per-scenario path pinned to it, and the fused engine
-(:mod:`repro.sim.fused_engine`) stacks many near-identical scenarios
-into one shared slot loop — reusing this class per scenario (with a
-shared :class:`~repro.sim.cellstore.StackedCellStore`) and staying
-pinned to it bit for bit.
+This is the production slot loop; the reference engine
+(:mod:`repro.sim.engine`) is the bit-exact oracle it is pinned to.
 
 The engine is an exact functional mirror of the reference: for any
 seeded run of a supported router it produces a bit-identical
@@ -118,16 +113,12 @@ class VectorizedEngine:
     router: the assembled router (see module docstring for the
         supported configurations).
     seed: seed for the run's random generator (payloads, arrivals).
-    store: optional externally owned cell store; the fused engine
-        passes one :class:`~repro.sim.cellstore.StackedCellStore`
-        shared by every scenario of a stack.  Default: a private store.
     """
 
     def __init__(
         self,
         router: NetworkRouter,
         seed: int | None = 12345,
-        store: CellStore | None = None,
     ) -> None:
         if not supports_router(router):
             from repro.fabrics.registry import vector_core_summary
@@ -149,9 +140,7 @@ class VectorizedEngine:
         self.rng = np.random.default_rng(seed)
         self._slot = 0
         ports = router.ports
-        if store is None:
-            store = CellStore(router.fabric.cell_format)
-        self.store = store
+        self.store = CellStore(router.fabric.cell_format)
         self._core = make_vector_core(router.fabric, self.store)
         self._queue_cap = router.ingress[0].queue_capacity_cells
         self._is_voq = type(router) is VoqNetworkRouter

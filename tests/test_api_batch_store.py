@@ -98,21 +98,16 @@ class TestRunRecordStore:
         runs = {"n": 0}
         original = session.run
 
-        def counting(s):
+        def counting(s, engine=None):
             runs["n"] += 1
-            return original(s)
+            return original(s, engine=engine)
 
         session.run = counting
-        # strategy="vectorized" so the monkeypatched ``run`` sees every
-        # execution (fused stacks bypass it); cache behaviour itself is
-        # strategy-independent (see tests/test_fused_engine.py).
-        first = session.run_batch(scenarios, store=store,
-                                  strategy="vectorized")
+        first = session.run_batch(scenarios, store=store)
         assert runs["n"] == len(scenarios)
         # A second campaign over the same points runs nothing.
         store2 = RunRecordStore(path)
-        second = session.run_batch(scenarios, store=store2,
-                                   strategy="vectorized")
+        second = session.run_batch(scenarios, store=store2)
         assert runs["n"] == len(scenarios)
         assert store2.hits == len(scenarios)
         assert [r.detail for r in first] == [r.detail for r in second]
@@ -120,8 +115,7 @@ class TestRunRecordStore:
         extra = scenarios + [
             Scenario("crossbar", 4, 0.9, name="new", **SIM_KWARGS)
         ]
-        third = session.run_batch(extra, store=RunRecordStore(path),
-                                  strategy="vectorized")
+        third = session.run_batch(extra, store=RunRecordStore(path))
         assert runs["n"] == len(scenarios) + 1
         assert [r.name for r in third][-1] == "new"
 

@@ -1,8 +1,12 @@
 """Scenario validation, serialisation, presets and grid expansion."""
 
+import dataclasses
 import json
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.api import (
     PRESET_SCENARIOS,
@@ -11,7 +15,7 @@ from repro.api import (
     preset,
     preset_scenarios,
 )
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, ReproError
 from repro.router.traffic import (
     BernoulliUniformTraffic,
     BurstyTraffic,
@@ -81,6 +85,68 @@ class TestValidation:
         assert s.replace(load=0.5).load == 0.5
         with pytest.raises(ConfigurationError):
             s.replace(load=2.0)
+
+
+#: JSON scalars, and arrays/objects of them: what a hand-written
+#: scenario file may put anywhere.
+JSON_STRINGS = st.sampled_from(
+    ["crossbar", "voq", "0.18um", "scenarios", "4"]
+) | st.text(alphabet="ab4.-", max_size=3)
+JSON_SCALARS = (
+    st.none() | st.booleans() | st.integers() | st.floats() | JSON_STRINGS
+)
+JSON_VALUES = (
+    JSON_SCALARS
+    | st.lists(JSON_SCALARS, max_size=3)
+    | st.dictionaries(JSON_STRINGS, JSON_SCALARS, max_size=2)
+)
+
+SCENARIO_FIELDS = [f.name for f in dataclasses.fields(Scenario)]
+
+VALID = {"architecture": "crossbar", "ports": 4, "load": 0.3}
+
+
+class TestFieldTypes:
+    """Wrongly typed fields are configuration errors, never coerced."""
+
+    @pytest.mark.parametrize("field", ["ports", "seed", "flip_fraction"])
+    def test_bool_is_not_a_number(self, field):
+        with pytest.raises(ConfigurationError, match=field):
+            Scenario.from_dict({**VALID, field: True})
+
+    def test_numpy_scalars_accepted_as_given(self):
+        s = Scenario(
+            "crossbar",
+            np.int64(4),
+            np.float64(0.3),
+            seed=np.int64(7),
+            flip_fraction=np.float32(0.5),
+        )
+        assert type(s.ports) is np.int64 and type(s.seed) is np.int64
+        assert type(s.flip_fraction) is np.float32
+
+    def test_missing_required_field(self):
+        with pytest.raises(ConfigurationError, match="missing"):
+            Scenario.from_dict({"architecture": "crossbar", "ports": 4})
+
+    @settings(max_examples=120, deadline=None)
+    @given(st.dictionaries(st.sampled_from(SCENARIO_FIELDS), JSON_VALUES,
+                           max_size=3))
+    def test_fuzzed_fields_never_escape_as_other_errors(self, overrides):
+        try:
+            result = Scenario.from_dict({**VALID, **overrides})
+        except ReproError:
+            return
+        assert isinstance(result, Scenario)
+
+    @settings(max_examples=40, deadline=None)
+    @given(JSON_VALUES | st.builds(lambda v: {"scenarios": v}, JSON_VALUES))
+    def test_fuzzed_file_shapes_never_escape_as_other_errors(self, data):
+        try:
+            scenarios = load_scenarios(json.dumps(data))
+        except ReproError:
+            return
+        assert all(isinstance(s, Scenario) for s in scenarios)
 
 
 class TestSerialisation:

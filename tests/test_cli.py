@@ -123,6 +123,45 @@ class TestBatchCommand:
         assert err.startswith("error:")
         assert "thruput" in err and "load" in err
 
+    @pytest.mark.parametrize(
+        "content",
+        [
+            {"ports": "four"},
+            {"ports": 4.0},
+            {"load": "x"},
+            {"load": [0.5, "a", 1, 2]},
+            {"queueing": "voq", "islip_iterations": "2"},
+            {"bus_width": "32"},
+            {"flip_fraction": "x"},
+            {"arrival_slots": "10"},
+            {"warmup_slots": None},
+            {"traffic_params": [1]},
+            {"tech": {"bad": 1}},
+            {"seed": "x"},
+            {"ingress_queue_cells": "4"},
+            {"buffer_bits_per_switch": "x"},
+            {"drain": "yes"},
+            {"cell_words": 2.5},
+            5,
+            [1],
+            {"scenarios": 5},
+        ],
+        ids=repr,
+    )
+    def test_batch_malformed_file_is_a_clean_error(
+        self, content, tmp_path, capsys
+    ):
+        if isinstance(content, dict) and "scenarios" not in content:
+            base = {"architecture": "crossbar", "ports": 4, "load": 0.3,
+                    "arrival_slots": 20, "warmup_slots": 2}
+            content = [{**base, **content}]
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(content))
+        assert main(["batch", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "Traceback" not in err
+
     def test_batch_missing_file_is_a_clean_error(self, capsys):
         assert main(["batch", "no-such-file.json"]) == 2
         assert "cannot read scenario file" in capsys.readouterr().err
