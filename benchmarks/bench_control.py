@@ -31,9 +31,8 @@ import tempfile
 import time
 from pathlib import Path
 
-from repro.api.figstore import DerivedRecordStore
 from repro.api.model import PowerModel
-from repro.api.store import RunRecordStore
+from repro.api.store import DerivedRecordStore, RunRecordStore
 from repro.control import ControlModel, get_control
 
 PRESET = "dumbbell_sleep_sweep"

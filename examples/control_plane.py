@@ -16,7 +16,7 @@ Run:  python examples/control_plane.py
 import tempfile
 from pathlib import Path
 
-from repro.api.figstore import DerivedRecordStore
+from repro.api.store import DerivedRecordStore
 from repro.control import (
     ControlModel,
     ControlSpec,

@@ -15,8 +15,7 @@ Run:  python examples/network_power.py
 import tempfile
 from pathlib import Path
 
-from repro.api.figstore import DerivedRecordStore
-from repro.api.store import RunRecordStore
+from repro.api.store import DerivedRecordStore, RunRecordStore
 from repro.network import (
     Demand,
     Link,

@@ -68,8 +68,7 @@ from repro.api.model import (
     reset_default_session,
     run_batch,
 )
-from repro.api.figstore import DerivedRecordStore
-from repro.api.store import RunRecordStore
+from repro.api.store import DerivedRecordStore, RunRecordStore
 
 __all__ = [
     "WireMode",

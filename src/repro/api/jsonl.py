@@ -1,7 +1,7 @@
 """Hardened JSONL primitives shared by the on-disk stores.
 
-The run-record store, the derived-figure store, and the campaign
-journal all speak the same dialect: append-only JSON lines, one record
+The keyed record store (:mod:`repro.api.store`) and the campaign
+journal both speak the same dialect: append-only JSON lines, one record
 each, written by possibly-concurrent processes on a filesystem that
 may lose power mid-append.  This module is the single implementation
 of the durability mechanics they share:
@@ -17,6 +17,9 @@ of the durability mechanics they share:
   torn appends) and a compaction never races an appender.  On
   platforms without :mod:`fcntl` the lock degrades to a no-op, which
   is exactly the pre-hardening behaviour.
+* :func:`read_entries` — the one line-reading loop: verified JSON
+  objects out, every unparseable, non-object or checksum-failing line
+  handed to the caller's ``on_bad`` hook.
 * :func:`quarantine_line` — corrupt lines are moved aside into a
   ``<store>.quarantine`` sidecar (with a reason) rather than silently
   dropped, so a damaged cache is diagnosable after the fact.
@@ -32,7 +35,7 @@ import json
 import os
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Any, Iterable, Iterator
+from typing import Any, Callable, Iterable, Iterator
 
 try:  # pragma: no cover - platform probe
     import fcntl
@@ -108,15 +111,19 @@ def locked_rewrite(path: Path, payloads: Iterable[dict[str, Any]]) -> None:
         os.replace(tmp, path)
 
 
-def iter_verified_entries(path: Path | str | os.PathLike) -> Iterator[dict]:
-    """Stream the verified entries of a JSONL store, one at a time.
+def read_entries(
+    path: Path | str | os.PathLike,
+    on_bad: Callable[[str, str], None] | None = None,
+) -> Iterator[dict]:
+    """Stream the verified entries of a JSONL file, one at a time.
 
-    Read-only complement to the eager store loaders: yields each
-    parsed, checksum-verified line payload without building typed
-    records or holding more than one line in memory, so feature
-    extraction over multi-gigabyte stores stays O(1) in resident set.
-    Corrupt lines are skipped (no quarantine side effects — streaming
-    readers must not mutate a store they do not own).  A missing file
+    The single line reader behind the stores, the campaign journal and
+    the streaming readers: yields each parsed, checksum-verified JSON
+    object without holding more than one line in memory.  A line that
+    does not parse, is not a JSON object, or fails its checksum is
+    handed to ``on_bad(line, reason)`` -- the stores quarantine it, the
+    journal counts it -- and skipped when ``on_bad`` is None (streaming
+    readers must not mutate a file they do not own).  A missing file
     yields nothing.
     """
     path = Path(path)
@@ -129,11 +136,18 @@ def iter_verified_entries(path: Path | str | os.PathLike) -> Iterator[dict]:
                 continue
             try:
                 entry = json.loads(line)
-                if not isinstance(entry, dict) or not verify_entry(entry):
+            except ValueError as exc:
+                reason = str(exc)
+            else:
+                if not isinstance(entry, dict):
+                    reason = "line is not a JSON object"
+                elif not verify_entry(entry):
+                    reason = "checksum mismatch"
+                else:
+                    yield entry
                     continue
-            except ValueError:
-                continue
-            yield entry
+            if on_bad is not None:
+                on_bad(line, reason)
 
 
 def quarantine_path(path: Path) -> Path:

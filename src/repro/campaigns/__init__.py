@@ -28,7 +28,7 @@ analytical-vs-simulated deltas and CSV/JSON/markdown export:
   spec over demand scales (per-node rows under (scale, node) axes);
   ``kind="control"`` campaigns run a :mod:`repro.control` series
   (per-epoch rows plus a series total).
-* :class:`~repro.api.figstore.DerivedRecordStore` (re-exported here) —
+* :class:`~repro.api.store.DerivedRecordStore` (re-exported here) —
   the derived-figure cache: ``run_campaign(figures=...)`` serves a
   warm campaign without a session.
 
@@ -37,7 +37,7 @@ CLI front end: ``repro campaign run|list|report`` (see
 matrix).
 """
 
-from repro.api.figstore import DerivedRecordStore
+from repro.api.store import DerivedRecordStore
 from repro.campaigns.campaign import CAMPAIGN_KINDS, Campaign, GRID_AXES
 from repro.campaigns.comparison import ComparisonRecord
 from repro.campaigns.presets import (

@@ -29,7 +29,7 @@ through their dedicated models.
   completed records (held-out slice excluded) and score every point
   surrogate-vs-simulation — the accuracy report behind ``repro serve``.
 
-Passing ``figures=`` (a :class:`~repro.api.figstore.
+Passing ``figures=`` (a :class:`~repro.api.store.
 DerivedRecordStore`) caches the *aggregated* record keyed by
 ``Campaign.content_hash()``: a warm figure store serves ``repro
 campaign report`` without constructing a session or touching a single
@@ -47,10 +47,9 @@ from typing import Any
 
 from repro.errors import ConfigurationError
 
-from repro.api.figstore import DerivedRecordStore
 from repro.api.model import PowerModel, default_session
 from repro.api.records import RunRecord
-from repro.api.store import RunRecordStore
+from repro.api.store import DerivedRecordStore, RunRecordStore
 from repro.resilience.faults import FaultPlan
 from repro.resilience.policy import RetryPolicy
 from repro.resilience.records import BatchReport
@@ -611,7 +610,7 @@ def run_campaign(
         appended — a warm cache re-runs a campaign with zero new
         simulations.
     figures:
-        Optional :class:`~repro.api.figstore.DerivedRecordStore` of
+        Optional :class:`~repro.api.store.DerivedRecordStore` of
         whole aggregated records keyed by ``Campaign.content_hash()``.
         On a hit the campaign is served without a session (or any
         scenario execution); on a miss the fresh record is persisted.

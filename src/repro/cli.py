@@ -760,11 +760,7 @@ def cmd_batch(args) -> int:
         scenarios = [
             s.replace(rng_stream=args.rng_stream) for s in scenarios
         ]
-    store = None
-    if args.cache:
-        from repro.api.store import RunRecordStore
-
-        store = RunRecordStore(args.cache)
+    store = _run_store(args)
     resilience = _resilience_kwargs(args, _batch_key(scenarios))
     records = default_session().run_batch(
         scenarios,
@@ -776,7 +772,7 @@ def cmd_batch(args) -> int:
     # With --retries, exhausted units are recorded holes (None): the
     # report covers the completed scenarios, the failures print below.
     records = [r for r in records if r is not None]
-    _campaign_cache_stats(args, store)
+    _store_stats(args, store)
     _resilience_summary(args, resilience)
 
     if args.format == "json":
@@ -841,6 +837,11 @@ def _campaign_store(args, campaign):
                 file=sys.stderr,
             )
         return None
+    return _run_store(args)
+
+
+def _run_store(args):
+    """The ``--cache`` RunRecordStore, or None without ``--cache``."""
     if not args.cache:
         return None
     from repro.api.store import RunRecordStore
@@ -848,39 +849,30 @@ def _campaign_store(args, campaign):
     return RunRecordStore(args.cache)
 
 
-def _campaign_cache_stats(args, store) -> None:
-    if store is not None:
-        stats = store.stats()
-        line = (
-            f"cache {args.cache}: {stats['hits']} hits, "
-            f"{stats['misses']} misses, {stats['entries']} entries"
-        )
-        # Damage is loud: corrupt lines degrade to misses but are
-        # counted and quarantined, never silently dropped.
-        if stats.get("skipped_lines"):
-            line += (
-                f", {stats['skipped_lines']} skipped, "
-                f"{stats['quarantined']} quarantined"
-            )
-        print(line, file=sys.stderr)
-
-
 def _figure_store(args):
     if not getattr(args, "figures", None):
         return None
-    from repro.api.figstore import DerivedRecordStore
+    from repro.api.store import DerivedRecordStore
 
     return DerivedRecordStore(args.figures)
 
 
-def _figure_store_stats(args, figures) -> None:
-    if figures is not None:
-        stats = figures.stats()
+def _store_stats(args, store, figures=None) -> None:
+    """One stderr line per open store: ``--cache``, then ``--figures``."""
+    for label, path, opened in (
+        ("cache", args.cache, store),
+        ("figures", getattr(args, "figures", None), figures),
+    ):
+        if opened is None:
+            continue
+        stats = opened.stats()
         line = (
-            f"figures {args.figures}: {stats['hits']} hits, "
+            f"{label} {path}: {stats['hits']} hits, "
             f"{stats['misses']} misses, {stats['entries']} entries"
         )
-        if stats.get("skipped_lines"):
+        # Damage is loud: corrupt lines degrade to misses but are
+        # counted and quarantined, never silently dropped.
+        if stats["skipped_lines"]:
             line += (
                 f", {stats['skipped_lines']} skipped, "
                 f"{stats['quarantined']} quarantined"
@@ -1023,8 +1015,7 @@ def cmd_campaign(args) -> int:
             figures=figures,
             **resilience,
         )
-        _campaign_cache_stats(args, store)
-        _figure_store_stats(args, figures)
+        _store_stats(args, store, figures)
         _resilience_summary(args, resilience)
         print(render_report(record))
         return 0
@@ -1054,8 +1045,7 @@ def cmd_campaign(args) -> int:
         figures=figures,
         **resilience,
     )
-    _campaign_cache_stats(args, store)
-    _figure_store_stats(args, figures)
+    _store_stats(args, store, figures)
     _resilience_summary(args, resilience)
     if args.csv_path:
         Path(args.csv_path).write_text(record.to_csv())
@@ -1179,11 +1169,7 @@ def cmd_network(args) -> int:
             )
         return 0
 
-    store = None
-    if args.cache:
-        from repro.api.store import RunRecordStore
-
-        store = RunRecordStore(args.cache)
+    store = _run_store(args)
     figures = _figure_store(args)
     resilience = _resilience_kwargs(args, spec.content_hash())
     record = model.run(
@@ -1196,8 +1182,7 @@ def cmd_network(args) -> int:
         detail=args.detail,
         **resilience,
     )
-    _campaign_cache_stats(args, store)
-    _figure_store_stats(args, figures)
+    _store_stats(args, store, figures)
     _resilience_summary(args, resilience)
 
     if args.network_command == "report":
@@ -1322,11 +1307,7 @@ def cmd_control(args) -> int:
             )
         return 0
 
-    store = None
-    if args.cache:
-        from repro.api.store import RunRecordStore
-
-        store = RunRecordStore(args.cache)
+    store = _run_store(args)
     figures = _figure_store(args)
     resilience = _resilience_kwargs(args, spec.content_hash())
     record = model.run(
@@ -1337,8 +1318,7 @@ def cmd_control(args) -> int:
         figures=figures,
         **resilience,
     )
-    _campaign_cache_stats(args, store)
-    _figure_store_stats(args, figures)
+    _store_stats(args, store, figures)
     _resilience_summary(args, resilience)
 
     if args.control_command == "report":
@@ -1420,11 +1400,7 @@ def cmd_serve(args) -> int:
     from repro.surrogate.train import SurrogateModel
 
     model = SurrogateModel.load(args.model)
-    store = None
-    if args.cache:
-        from repro.api.store import RunRecordStore
-
-        store = RunRecordStore(args.cache)
+    store = _run_store(args)
     retry = None
     if args.retries is not None or args.timeout is not None:
         if args.retries is not None and args.retries < 0:

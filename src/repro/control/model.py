@@ -48,8 +48,7 @@ from repro.control.record import ControlRecord
 from repro.control.spec import ControlSpec
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.api.figstore import DerivedRecordStore
-    from repro.api.store import RunRecordStore
+    from repro.api.store import DerivedRecordStore, RunRecordStore
     from repro.resilience.journal import CampaignJournal
 
 

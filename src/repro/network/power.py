@@ -47,8 +47,7 @@ from repro.network.topology import NetworkTopology, RouterNode
 from repro.network.traffic_matrix import TrafficMatrix
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.api.figstore import DerivedRecordStore
-    from repro.api.store import RunRecordStore
+    from repro.api.store import DerivedRecordStore, RunRecordStore
     from repro.resilience.journal import CampaignJournal
 
 #: Scenario fields a network spec derives itself and therefore rejects

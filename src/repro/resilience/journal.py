@@ -19,19 +19,21 @@ the units that had not finished — exactly the units a resume re-runs.
 
 from __future__ import annotations
 
-import json
 import os
 from pathlib import Path
 from typing import TYPE_CHECKING, Any
 
 from repro.errors import ConfigurationError
 
-from repro.api.jsonl import locked_append, verify_entry
+from repro.api.jsonl import locked_append, read_entries
 
 from repro.resilience.records import FailureRecord
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.api.records import RunRecord
+
+#: The fields every journal line carries.
+_FIELDS = frozenset({"campaign", "key", "status"})
 
 
 class CampaignJournal:
@@ -66,49 +68,40 @@ class CampaignJournal:
         self.skipped_lines = 0
         self._done: dict[str, dict[str, Any]] = {}
         self._failed: dict[str, FailureRecord] = {}
-        if self.path.exists():
-            self._load()
+        self._load()
 
     # ------------------------------------------------------------------
 
     def _load(self) -> None:
-        with self.path.open() as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
+        for entry in read_entries(self.path, self._skip):
+            key = entry.get("key")
+            if not _FIELDS <= entry.keys() or not isinstance(key, str):
+                # A torn/foreign line (e.g. the campaign was killed
+                # mid-append): resume must re-run that unit, not
+                # trust half a record.
+                self.skipped_lines += 1
+                continue
+            if entry["campaign"] != self.campaign_key:
+                continue
+            status = entry["status"]
+            if status == "done" and isinstance(entry.get("record"), dict):
+                self._done[key] = entry["record"]
+                self._failed.pop(key, None)
+            elif status == "failed":
                 try:
-                    entry = json.loads(line)
-                    if not verify_entry(entry):
-                        raise ValueError("checksum mismatch")
-                    campaign = entry["campaign"]
-                    key = entry["key"]
-                    status = entry["status"]
-                except (KeyError, TypeError, ValueError):
-                    # A torn/foreign line (e.g. the campaign was killed
-                    # mid-append): resume must re-run that unit, not
-                    # trust half a record.
+                    failure = FailureRecord.from_dict(
+                        entry.get("failure", {})
+                    )
+                except (ConfigurationError, TypeError):
                     self.skipped_lines += 1
                     continue
-                if campaign != self.campaign_key:
-                    continue
-                if status == "done" and isinstance(
-                    entry.get("record"), dict
-                ):
-                    self._done[key] = entry["record"]
-                    self._failed.pop(key, None)
-                elif status == "failed":
-                    try:
-                        failure = FailureRecord.from_dict(
-                            entry.get("failure", {})
-                        )
-                    except ConfigurationError:
-                        self.skipped_lines += 1
-                        continue
-                    self._failed[key] = failure
-                    self._done.pop(key, None)
-                else:
-                    self.skipped_lines += 1
+                self._failed[key] = failure
+                self._done.pop(key, None)
+            else:
+                self.skipped_lines += 1
+
+    def _skip(self, line: str, reason: str) -> None:
+        self.skipped_lines += 1
 
     # ------------------------------------------------------------------
 

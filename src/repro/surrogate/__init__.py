@@ -10,9 +10,10 @@ ground-truth :class:`~repro.api.records.RunRecord` JSONL stores the
 repo already accumulates:
 
 * :mod:`repro.surrogate.dataset` — stream feature/target tables out of
-  ``RunRecordStore`` / ``DerivedRecordStore`` files without
-  materializing them (features: the full scenario context plus
-  (load, ports); targets: throughput and total/per-component power).
+  the run lines of a :mod:`repro.api.store` file without materializing
+  them; derived records sharing the file are skipped (features: the
+  full scenario context plus (load, ports); targets: throughput and
+  total/per-component power).
 * :mod:`repro.surrogate.train` — deterministic, dependency-free
   surrogates: per-context polynomial ridge on (log load, log2 ports)
   plus a nearest-operating-point interpolator, serialised as a

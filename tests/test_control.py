@@ -21,8 +21,7 @@ import json
 
 import pytest
 
-from repro.api.figstore import DerivedRecordStore
-from repro.api.store import RunRecordStore
+from repro.api.store import DerivedRecordStore, RunRecordStore
 from repro.cli import main
 from repro.errors import ConfigurationError
 from repro.network import (

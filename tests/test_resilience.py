@@ -11,8 +11,13 @@ import json
 
 import pytest
 
-from repro.api import PowerModel, RunRecordStore, Scenario, run_batch
-from repro.api.figstore import DerivedRecordStore
+from repro.api import (
+    DerivedRecordStore,
+    PowerModel,
+    RunRecordStore,
+    Scenario,
+    run_batch,
+)
 from repro.campaigns import Campaign, run_campaign
 from repro.errors import ConfigurationError
 from repro.resilience import (

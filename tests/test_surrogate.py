@@ -19,12 +19,11 @@ import json
 
 import pytest
 
-from repro.api import RunRecordStore, Scenario, default_session
-from repro.api.figstore import DerivedRecordStore
+from repro.api import DerivedRecordStore, RunRecordStore, Scenario, default_session
 from repro.api.jsonl import (
-    iter_verified_entries,
     locked_append,
     quarantine_path,
+    read_entries,
     stamp_entry,
 )
 from repro.api.store import iter_run_entries
@@ -276,7 +275,7 @@ class TestDrift:
         # slice now disagrees with the model far beyond tolerance.
         path = tmp_path / "perturbed.jsonl"
         entries = []
-        for entry in iter_verified_entries(corpus["path"]):
+        for entry in read_entries(corpus["path"]):
             record = dict(entry["record"])
             for field in (
                 "total_power_w", "switch_power_w",
@@ -553,11 +552,12 @@ class TestStreamingReaders:
         entries = list(iter_run_entries(corpus["path"]))
         assert len(entries) == 10
         store = RunRecordStore(corpus["path"])
-        store._load()
         for key, record in entries:
-            assert store._disk[key] == record  # same payloads
+            scenario = Scenario.from_dict(record["scenario"])
+            assert scenario.content_hash() == key
+            assert store.get(scenario).to_cache_dict() == record
 
-    def test_iter_verified_entries_skips_corruption_quietly(
+    def test_read_entries_skips_corruption_quietly(
         self, tmp_path
     ):
         path = tmp_path / "mixed.jsonl"
@@ -571,19 +571,19 @@ class TestStreamingReaders:
                 + "\n"
             )
         locked_append(path, {"key": "c", "record": {"x": 3}})
-        keys = [e["key"] for e in iter_verified_entries(path)]
+        keys = [e["key"] for e in read_entries(path)]
         assert keys == ["a", "c"]
         # Read-only streaming: no quarantine side effects.
         assert not quarantine_path(path).exists()
 
-    def test_iter_verified_entries_missing_file(self, tmp_path):
-        assert list(iter_verified_entries(tmp_path / "nope.jsonl")) == []
+    def test_read_entries_missing_file(self, tmp_path):
+        assert list(read_entries(tmp_path / "nope.jsonl")) == []
 
     def test_stamped_entries_verify(self, tmp_path):
         entry = stamp_entry({"key": "k", "record": {"v": 1.5}})
         path = tmp_path / "one.jsonl"
         path.write_text(json.dumps(entry) + "\n")
-        assert [e["key"] for e in iter_verified_entries(path)] == ["k"]
+        assert [e["key"] for e in read_entries(path)] == ["k"]
 
 
 class TestCarbonIntensity:
