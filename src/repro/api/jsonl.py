@@ -98,11 +98,18 @@ def locked_append(path: Path, payload: dict[str, Any]) -> None:
             os.fsync(fh.fileno())
 
 
-def locked_rewrite(path: Path, payloads: Iterable[dict[str, Any]]) -> None:
-    """Atomically replace the store with checksummed ``payloads``."""
+def locked_rewrite(
+    path: Path, build: Callable[[], Iterable[dict[str, Any]]]
+) -> None:
+    """Atomically replace the store with checksummed payloads.
+
+    ``build()`` runs under the lock, so it can re-read the file and
+    merge what other writers appended before it is replaced.
+    """
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(path.name + ".tmp")
     with _locked(path):
+        payloads = build()
         with tmp.open("w") as fh:
             for payload in payloads:
                 fh.write(json.dumps(stamp_entry(payload)) + "\n")

@@ -171,6 +171,50 @@ def _bad_params(params: Any) -> ConfigurationError:
     )
 
 
+def checked_fields(cls, data: Any, what: str) -> dict[str, Any]:
+    """``data`` as constructor kwargs of the dataclass ``cls``.
+
+    Spec files are user input: a top level that is not a JSON object,
+    an unknown field or a missing required one raises
+    :class:`ConfigurationError` naming ``what``, never a ``TypeError``.
+    """
+    if not isinstance(data, Mapping):
+        raise ConfigurationError(
+            f"a {what} must be a JSON object, got {type(data).__name__}"
+        )
+    known = {f.name for f in fields(cls)}
+    unknown = set(data) - known
+    if unknown:
+        raise ConfigurationError(
+            f"unknown {what} fields: {sorted(unknown)}; "
+            f"valid fields: {sorted(known)}"
+        )
+    missing = [
+        f.name
+        for f in fields(cls)
+        if f.default is dataclasses.MISSING
+        and f.default_factory is dataclasses.MISSING
+        and f.name not in data
+    ]
+    if missing:
+        raise ConfigurationError(f"missing {what} fields: {missing}")
+    return dict(data)
+
+
+def from_fields(cls, data: Any, what: str):
+    """Build the dataclass ``cls`` from a spec file's JSON object.
+
+    On top of :func:`checked_fields`, a field value the constructor
+    cannot take (a string where a number belongs, a list where an
+    object does) raises :class:`ConfigurationError` too.
+    """
+    kwargs = checked_fields(cls, data, what)
+    try:
+        return cls(**kwargs)
+    except (TypeError, ValueError) as exc:
+        raise ConfigurationError(f"bad {what} field value: {exc}") from None
+
+
 @dataclass(frozen=True)
 class Scenario:
     """One fully-specified experiment (frozen and JSON round-trippable).
@@ -493,23 +537,7 @@ class Scenario:
     def from_dict(cls, data: Mapping[str, Any]) -> "Scenario":
         """Rebuild a scenario from :meth:`to_dict` output (or hand-written
         JSON); unknown keys raise so typos in scenario files fail loud."""
-        known = {f.name for f in fields(cls)}
-        unknown = set(data) - known
-        if unknown:
-            raise ConfigurationError(
-                f"unknown scenario fields: {sorted(unknown)}; "
-                f"valid fields: {sorted(known)}"
-            )
-        missing = [
-            f.name
-            for f in fields(cls)
-            if f.default is dataclasses.MISSING and f.name not in data
-        ]
-        if missing:
-            raise ConfigurationError(
-                f"missing scenario fields: {missing}"
-            )
-        kwargs = dict(data)
+        kwargs = checked_fields(cls, data, "scenario")
         tech = kwargs.get("tech")
         if isinstance(tech, Mapping):
             try:

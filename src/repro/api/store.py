@@ -118,7 +118,16 @@ class _KeyedStore:
         self.misses = 0
         self.skipped_lines = 0
         self.quarantined = 0
-        for entry in read_entries(self.path, self._quarantine):
+        for kind, key, payload in self._entries(self._quarantine):
+            self._payloads[(kind, key)] = payload
+
+    def _entries(self, on_bad) -> Iterator[tuple[str, str, dict[str, Any]]]:
+        """The file's valid ``(kind, key, payload)`` entries, in order.
+
+        Bad lines go to ``on_bad(line, reason)``, or are skipped when it
+        is None.
+        """
+        for entry in read_entries(self.path, on_bad):
             try:
                 kind = entry.get("kind", RUN_KIND)
                 key = entry["key"]
@@ -139,9 +148,10 @@ class _KeyedStore:
                 # must degrade to a miss, not an error — but the
                 # damage is moved aside and counted, not silently
                 # swallowed.
-                self._quarantine(json.dumps(entry), str(exc))
+                if on_bad is not None:
+                    on_bad(json.dumps(entry), str(exc))
                 continue
-            self._payloads[(kind, key)] = payload
+            yield kind, key, payload
 
     def _quarantine(self, line: str, reason: str) -> None:
         self.skipped_lines += 1
@@ -176,12 +186,25 @@ class _KeyedStore:
         """Atomically rewrite the file to one line per (kind, key)
         (latest wins), dropping superseded and corrupt lines and keeping
         every kind, not only this face's.  Returns the number of lines
-        written."""
-        lines = [
-            _line(kind, key, payload)
-            for (kind, key), payload in self._payloads.items()
-        ]
-        locked_rewrite(self.path, lines)
+        written.
+
+        The file is re-read under the write lock and merged last-wins
+        into this store, so lines other store objects appended after
+        this one loaded survive (and become visible here).  Lines that
+        fail to load are dropped without a second quarantine.
+        """
+        lines: list[dict[str, Any]] = []
+
+        def merged() -> list[dict[str, Any]]:
+            for kind, key, payload in self._entries(None):
+                self._payloads[(kind, key)] = payload
+            lines.extend(
+                _line(kind, key, payload)
+                for (kind, key), payload in self._payloads.items()
+            )
+            return lines
+
+        locked_rewrite(self.path, merged)
         return len(lines)
 
     def stats(self) -> dict[str, int]:

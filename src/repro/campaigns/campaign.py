@@ -56,6 +56,7 @@ from repro.api.scenario import (
     TRAFFIC_KINDS,
     _freeze_params,
     _thaw_value,
+    from_fields,
 )
 
 #: Valid values of :attr:`Campaign.kind`.
@@ -414,14 +415,7 @@ class Campaign:
     def from_dict(cls, data: Mapping[str, Any]) -> "Campaign":
         """Rebuild a campaign from :meth:`to_dict` output (or a
         hand-written campaign file); unknown keys raise."""
-        known = {f.name for f in fields(cls)}
-        unknown = set(data) - known
-        if unknown:
-            raise ConfigurationError(
-                f"unknown campaign fields: {sorted(unknown)}; "
-                f"valid fields: {sorted(known)}"
-            )
-        return cls(**dict(data))
+        return from_fields(cls, data, "campaign")
 
     def to_json(self, **dumps_kwargs: Any) -> str:
         return json.dumps(self.to_dict(), **dumps_kwargs)
@@ -434,10 +428,6 @@ class Campaign:
             raise ConfigurationError(
                 f"campaign file is not valid JSON: {exc}"
             ) from exc
-        if not isinstance(data, Mapping):
-            raise ConfigurationError(
-                "a campaign file holds one JSON object"
-            )
         return cls.from_dict(data)
 
     def content_hash(self) -> str:

@@ -24,11 +24,12 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from typing import Any, Mapping
 
 from repro.errors import ConfigurationError
 
+from repro.api.scenario import from_fields
 from repro.network.power import NetworkSpec
 
 from repro.control.demand import DemandSeries
@@ -199,14 +200,7 @@ class ControlSpec:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "ControlSpec":
-        known = {f.name for f in fields(cls)}
-        unknown = set(data) - known
-        if unknown:
-            raise ConfigurationError(
-                f"unknown control-spec fields: {sorted(unknown)}; "
-                f"valid fields: {sorted(known)}"
-            )
-        return cls(**dict(data))
+        return from_fields(cls, data, "control-spec")
 
     def to_json(self, **dumps_kwargs: Any) -> str:
         return json.dumps(self.to_dict(), **dumps_kwargs)

@@ -37,7 +37,12 @@ from repro.tech.presets import get_technology
 
 from repro.api.model import PowerModel, default_session
 from repro.api.records import RunRecord
-from repro.api.scenario import Scenario, _freeze_params, _thaw_value
+from repro.api.scenario import (
+    Scenario,
+    _freeze_params,
+    _thaw_value,
+    from_fields,
+)
 from repro.resilience.faults import FaultPlan
 from repro.resilience.policy import RetryPolicy
 from repro.resilience.records import BatchReport, FailureRecord
@@ -266,14 +271,7 @@ class NetworkSpec:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "NetworkSpec":
-        known = {f.name for f in fields(cls)}
-        unknown = set(data) - known
-        if unknown:
-            raise ConfigurationError(
-                f"unknown network-spec fields: {sorted(unknown)}; "
-                f"valid fields: {sorted(known)}"
-            )
-        return cls(**dict(data))
+        return from_fields(cls, data, "network-spec")
 
     def to_json(self, **dumps_kwargs: Any) -> str:
         return json.dumps(self.to_dict(), **dumps_kwargs)

@@ -115,6 +115,10 @@ def draw_payload_batch(
     if total == 0:
         return np.zeros(0, dtype=np.uint64), offsets
     words = rng.integers(0, 1 << bus_width, size=total, dtype=np.uint64)
+    if not (sizes % bus_width).any():
+        # Whole bus words only: the draw is already below the mask and
+        # no tail needs padding.
+        return words, offsets
     words &= mask
     # Zero-pad the high bits of each packet's final word.
     nonempty = np.flatnonzero(words_per > 0)

@@ -9,10 +9,15 @@ coordinates, timestamps) lives in plain Python lists — scalar reads in
 the fabric inner loops are cheaper there than through numpy.
 
 Rows are recycled through a free list, so a long run's memory stays
-proportional to the peak number of in-flight + queued cells.
+proportional to the peak number of in-flight + queued cells.  A fabric
+core may hold delivered cells' rows until it has charged their wire
+energy; before growing, the store calls :attr:`CellStore.reclaim` so
+the core can hand those rows back first.
 """
 
 from __future__ import annotations
+
+from typing import Callable
 
 import numpy as np
 
@@ -36,6 +41,8 @@ class CellStore:
         self.created_slot: list[int] = [0] * capacity
         self.entered_slot: list[int] = [0] * capacity
         self._free: list[int] = list(range(capacity - 1, -1, -1))
+        #: called before the arrays grow, to free rows held elsewhere
+        self.reclaim: Callable[[], None] | None = None
 
     # ------------------------------------------------------------------
 
@@ -46,6 +53,10 @@ class CellStore:
     @property
     def live_cells(self) -> int:
         return self.capacity - len(self._free)
+
+    @property
+    def free_rows(self) -> int:
+        return len(self._free)
 
     def _grow(self) -> None:
         old = self.capacity
@@ -65,16 +76,22 @@ class CellStore:
             lst.extend([0] * old)
         self._free.extend(range(old * 2 - 1, old - 1, -1))
 
+    def _make_room(self, count: int) -> None:
+        if self.reclaim is not None:
+            self.reclaim()
+        while len(self._free) < count:
+            self._grow()
+
     def alloc(self) -> int:
         """One free row id (growing the arrays when exhausted)."""
         if not self._free:
-            self._grow()
+            self._make_room(1)
         return self._free.pop()
 
     def alloc_many(self, count: int) -> list[int]:
         """``count`` free row ids."""
-        while len(self._free) < count:
-            self._grow()
+        if len(self._free) < count:
+            self._make_room(count)
         if count == 0:
             return []
         ids = self._free[-count:]

@@ -7,7 +7,10 @@ of a :class:`~repro.sim.cellstore.CellStore`, ingress FIFOs (or VOQ
 occupancy matrices) hold integer cell ids, arbitration and egress
 accounting run on plain int arrays/lists, and the fabric is driven
 through a :class:`~repro.fabrics.vectorized.VectorFabricCore` that
-batches each slot's wire-flip counting into one vectorized popcount.
+charges wire and switch energy once per chunk of slots in one array
+pass.  The engine flushes the core before the warmup reset and before
+collecting results, and hands delivered cells back through
+``core.release`` so their rows outlive the chunk that charges them.
 
 This is the production slot loop; the reference engine
 (:mod:`repro.sim.engine`) is the bit-exact oracle it is pinned to.
@@ -142,6 +145,9 @@ class VectorizedEngine:
         ports = router.ports
         self.store = CellStore(router.fabric.cell_format)
         self._core = make_vector_core(router.fabric, self.store)
+        # Arrivals run between slots, where charging the core's pending
+        # chunk early is exact: it frees held rows instead of growing.
+        self.store.reclaim = self._core.flush
         self._queue_cap = router.ingress[0].queue_capacity_cells
         self._is_voq = type(router) is VoqNetworkRouter
         if self._is_voq:
@@ -194,7 +200,12 @@ class VectorizedEngine:
     # ------------------------------------------------------------------
 
     def step(self, generate_arrivals: bool = True) -> list[int]:
-        """Advance one slot; returns the delivered cell ids."""
+        """Advance one slot; returns the delivered cell ids.
+
+        Fabric energy reaches the ledger when the core flushes: every
+        chunk of slots, and in :meth:`run` before the warmup reset and
+        before results are collected.
+        """
         slot = self._slot
         if generate_arrivals:
             batch = self.router.traffic.arrivals_batch(slot, self.rng)
@@ -209,7 +220,7 @@ class VectorizedEngine:
             self._measurement_slots += 1
         if delivered:
             self._deliver(delivered, slot)
-            self.store.free_many(delivered)
+            self._core.release(delivered)
         self._slot += 1
         return delivered
 
@@ -501,6 +512,7 @@ class VectorizedEngine:
 
         for _ in range(warmup_slots):
             self.step(generate_arrivals=True)
+        self._core.flush()
         self._reset_measurements()
         self._measuring = True
 
@@ -516,6 +528,8 @@ class VectorizedEngine:
                 self.step(generate_arrivals=False)
                 drain_slots += 1
 
+        self._core.flush()
+        self.store.reclaim = None  # no store <-> core cycle after the run
         return self._collect(arrival_slots, warmup_slots, drain_slots)
 
     def _reset_measurements(self) -> None:

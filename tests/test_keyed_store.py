@@ -173,3 +173,40 @@ class TestSharedFile:
             train_surrogate(mixed).content_hash()
             == train_surrogate(plain).content_hash()
         )
+
+
+class TestConcurrentWriters:
+    """Two store objects on one file: compaction by one keeps the
+    other's lines appended after the compacting object loaded."""
+
+    def test_compact_keeps_lines_appended_after_load(self, tmp_path):
+        path = tmp_path / "store.jsonl"
+        first = DerivedRecordStore(path)
+        first.put("a", "comparison", {"v": 1})
+        second = DerivedRecordStore(path)
+        second.put("b", "comparison", {"v": 2})
+        second.put("a", "comparison", {"v": 3})  # supersedes first's "a"
+        first.put("c", "network", {"v": 4})
+        assert first.compact() == 3
+        reloaded = DerivedRecordStore(path)
+        assert reloaded.get("a", "comparison") == {"v": 3}
+        assert reloaded.get("b", "comparison") == {"v": 2}
+        assert reloaded.get("c", "network") == {"v": 4}
+        assert reloaded.stats()["skipped_lines"] == 0
+        # The compacting object now sees the merged state too.
+        assert first.get("b", "comparison") == {"v": 2}
+        assert len(path.read_text().splitlines()) == 3
+
+    def test_run_faces_merge_records(self, tmp_path):
+        path = tmp_path / "runs.jsonl"
+        session = repro.default_session()
+        early = RunRecordStore(path)
+        late = RunRecordStore(path)
+        other = SCENARIO.replace(load=0.4)
+        late.put(session.run(other))
+        early.put(session.run(SCENARIO))
+        assert early.compact() == 2
+        assert early.get(other) is not None
+        reloaded = RunRecordStore(path)
+        assert len(reloaded) == 2
+        assert reloaded.get(SCENARIO) is not None
